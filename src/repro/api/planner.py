@@ -273,9 +273,6 @@ class Planner:
         #: The in-flight plan's provenance builder, one per thread
         #: (:meth:`plan` installs it; ``_memo`` reports to it).
         self._prov = threading.local()
-        #: (namespace, key) -> hex digest memo: content hashing is not
-        #: free, and provenance asks for the same digests every plan.
-        self._digests: Dict[tuple, str] = {}
         #: Optimizer key -> where its frontier first came from in this
         #: process ("built" / "disk" / "memory"), for provenance.
         self._frontier_origin: Dict[tuple, str] = {}
@@ -341,15 +338,10 @@ class Planner:
         return value
 
     def _digest(self, namespace: str, key) -> Optional[str]:
-        """Memoized content digest for provenance (cheap namespaces only)."""
-        if namespace in ("baseline",):
+        """Content digest for provenance (the backend memoizes it)."""
+        if namespace == "baseline":
             return None
-        memo_key = (namespace, key)
-        digest = self._digests.get(memo_key)
-        if digest is None:
-            digest = stable_key(key)
-            self._digests[memo_key] = digest
-        return digest
+        return self._cache.digest(namespace, key)
 
     def _build_model(
         self, name: str, microbatch_size: Optional[int]
@@ -658,7 +650,11 @@ class Planner:
         self, spec: PlanSpec, straggler_time: Optional[float] = None
     ) -> PlanContext:
         """The strategy-facing view of a spec's planning stack."""
-        stack = self.result(spec)
+        return self._context(self.result(spec), spec, straggler_time)
+
+    @staticmethod
+    def _context(stack: PlanResult, spec: PlanSpec,
+                 straggler_time: Optional[float]) -> PlanContext:
         return PlanContext(
             dag=stack.dag,
             profile=stack.profile,
@@ -675,7 +671,9 @@ class Planner:
         custom savings should use this instead of re-simulating the
         max-frequency plan themselves.
         """
-        stack = self.result(spec)
+        return self._baseline(self.result(spec))
+
+    def _baseline(self, stack: PlanResult) -> PipelineExecution:
         return self._baseline_for(stack.keys["dag"], stack.keys["profile"],
                                   stack.dag, stack.profile)
 
@@ -711,13 +709,13 @@ class Planner:
                 stack = self.result(spec)
                 optimizer = stack.optimizer
                 pre_characterized = optimizer.is_characterized
-                ctx = self.context(spec, straggler_time)
-                frequencies = strategy.plan(ctx)
+                frequencies = strategy.plan(
+                    self._context(stack, spec, straggler_time))
                 with obs_span("planner.simulate"):
                     execution = execute_frequency_plan(
                         stack.dag, frequencies, stack.profile
                     )
-                    baseline = self.baseline_execution(spec)
+                    baseline = self._baseline(stack)
                 # Surface the crawl instrumentation when the strategy
                 # forced (or a store seeded) a frontier; frontier-free
                 # baselines stay None.

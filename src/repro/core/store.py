@@ -53,6 +53,7 @@ import os
 import tempfile
 import threading
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Dict, Iterable, Optional, Union
 
 try:  # POSIX advisory locks guard gc against concurrent writers
@@ -61,6 +62,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback (no-op locks)
     fcntl = None
 
 from ..exceptions import ReproError
+from ..keys import TEXT_SLOT
 from .serialization import (
     SerializationError,
     payload_from_dict,
@@ -96,27 +98,63 @@ class StoreError(ReproError):
 # ---------------------------------------------------------------------------
 
 
-def _canonical(value):
-    """JSON-able canonical form of one planner cache-key constituent.
+def _canonical_text(value, nested: bool = False) -> str:
+    """Canonical JSON text of one planner cache-key constituent.
 
-    Dataclasses (``GPUSpec``, ``WorkProfile``, ...) canonicalize by type
-    name plus *field values*, so a derated custom A100 never collides
-    with the registry spec sharing its name.  Floats use ``float.hex``
-    -- exact, locale-free, round-trippable.
+    Dataclasses (``GPUSpec``, ``WorkProfile``, ...) canonicalize as
+    ``[type name, {field: value}]``, so a derated custom A100 never
+    collides with the registry spec sharing its name.  Floats use
+    ``float.hex`` -- exact, locale-free, round-trippable -- and dict
+    keys are sorted.  The text is composed from the parts' texts (an
+    array's text is its elements' texts joined by ``,``), so a
+    :func:`~repro.keys.key_part` value shared by several keys is
+    canonicalized once.  ``nested`` marks values inside a dataclass:
+    layout 1 canonicalized through ``dataclasses.asdict``, which turns
+    nested dataclasses into bare field dicts, so only the outermost
+    one carries its type name.
     """
-    if value is None or isinstance(value, (str, bool, int)):
-        return value
+    if value is None:
+        return 'null'
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, bool):
+        return 'true' if value else 'false'
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return value.hex()
+        return '"' + value.hex() + '"'
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [type(value).__name__,
-                _canonical(dataclasses.asdict(value))]
+        fields = _fields_text(value)
+        if nested:
+            return fields
+        return '[' + _encode_str(type(value).__name__) + ',' + fields + ']'
     if isinstance(value, (tuple, list)):
-        return [_canonical(v) for v in value]
+        return '[' + ','.join(_canonical_text(v, nested)
+                              for v in value) + ']'
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
+        items = {str(k): v for k, v in sorted(value.items())}
+        return '{' + ','.join(
+            _encode_str(k) + ':' + _canonical_text(items[k], nested)
+            for k in sorted(items)) + '}'
     raise TypeError(f"cannot canonicalize {type(value).__name__} for a "
                     f"store key")
+
+
+def _fields_text(value) -> str:
+    """``{"field":text,...}`` of a dataclass, cached on key parts."""
+    key_part = getattr(value, "_key_part", False)
+    if key_part:
+        cached = value.__dict__.get(TEXT_SLOT)
+        if cached is not None:
+            return cached
+    text = '{' + ','.join(
+        _encode_str(name) + ':' + _canonical_text(getattr(value, name),
+                                                  nested=True)
+        for name in sorted(f.name for f in dataclasses.fields(value))
+    ) + '}'
+    if key_part:
+        value.__dict__[TEXT_SLOT] = text
+    return text
 
 
 def stable_key(key) -> str:
@@ -125,11 +163,14 @@ def stable_key(key) -> str:
     Stable across processes and Python versions: the same logical inputs
     always hash to the same address, which is what lets a second process
     reuse a first process's partitions, profiles and frontiers
-    bit-for-bit.
+    bit-for-bit.  The hashed text is byte-identical to what layout 1
+    has always hashed (``json.dumps`` of the canonical form with sorted
+    keys and ``(",", ":")`` separators), so existing stores keep
+    hitting.  Callers asking for one key repeatedly go through
+    :meth:`CacheBackend.digest`, which memoizes this.
     """
-    canonical = json.dumps(_canonical(key), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(
+        _canonical_text(key).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +227,13 @@ class CacheBackend:
     def get(self, namespace: str, key) -> Any:
         raise NotImplementedError
 
+    def digest(self, namespace: str, key) -> str:
+        """The key's content digest (:func:`stable_key`).
+
+        Backends with a memory tier memoize it for that tier's lifetime.
+        """
+        return stable_key(key)
+
     def get_with_source(self, namespace: str, key):
         """``(value, source)`` where source is provenance-grade.
 
@@ -233,6 +281,10 @@ class MemoryCache(CacheBackend):
     def __init__(self) -> None:
         super().__init__()
         self._tables: Dict[str, Dict[Any, Any]] = {}
+        #: (namespace, key) -> :func:`stable_key` digest.  Keyed by
+        #: equality like the tables, and cleared, snapshot and merged
+        #: with them, so it aliases exactly the keys the tables alias.
+        self._digests: Dict[tuple, str] = {}
         self._mutex = threading.Lock()
 
     def _table(self, namespace: str) -> Dict[Any, Any]:
@@ -246,6 +298,13 @@ class MemoryCache(CacheBackend):
         self.counters["misses"] += 1
         return MISS
 
+    def digest(self, namespace: str, key) -> str:
+        memo_key = (namespace, key)
+        digest = self._digests.get(memo_key)
+        if digest is None:
+            digest = self._digests[memo_key] = stable_key(key)
+        return digest
+
     def put(self, namespace: str, key, value) -> None:
         with self._mutex:
             self._table(namespace)[key] = value
@@ -253,12 +312,16 @@ class MemoryCache(CacheBackend):
     def clear(self) -> None:
         with self._mutex:
             self._tables.clear()
+            self._digests.clear()
 
     def worker_view(self) -> "MemoryCache":
-        view = MemoryCache()
+        return self._snapshot_into(MemoryCache())
+
+    def _snapshot_into(self, view: "MemoryCache") -> "MemoryCache":
         with self._mutex:
             view._tables = {ns: dict(table)
                             for ns, table in self._tables.items()}
+            view._digests = dict(self._digests)
         return view
 
     def items(self, namespace: str):
@@ -273,6 +336,8 @@ class MemoryCache(CacheBackend):
                 mine = self._table(ns)
                 for key, value in table.items():
                     mine.setdefault(key, value)
+            for memo_key, digest in other._digests.items():
+                self._digests.setdefault(memo_key, digest)
             for name, count in other.counters.items():
                 self.counters[name] = self.counters.get(name, 0) + count
 
@@ -340,7 +405,8 @@ class PlanStore(MemoryCache):
         ))
 
     def _path(self, namespace: str, key) -> str:
-        return os.path.join(self.root, namespace, stable_key(key) + ".json")
+        return os.path.join(self.root, namespace,
+                            self.digest(namespace, key) + ".json")
 
     def _atomic_write(self, path: str, text: str) -> None:
         """Temp file + ``os.replace``, durably when :data:`FSYNC_ENV` allows.
@@ -453,11 +519,7 @@ class PlanStore(MemoryCache):
         # Deliberately no max_bytes: concurrent workers pruning entries
         # the parent (or a sibling) is about to read would turn the LRU
         # policy into a race; only the owning store garbage collects.
-        view = PlanStore(self.root)
-        with self._mutex:
-            view._tables = {ns: dict(table)
-                            for ns, table in self._tables.items()}
-        return view
+        return self._snapshot_into(PlanStore(self.root))
 
     def entries(self, namespace: str) -> Iterable[str]:
         """Hex keys currently persisted for one namespace (diagnostics)."""

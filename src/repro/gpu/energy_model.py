@@ -21,10 +21,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..exceptions import ConfigurationError
+from ..keys import key_part
 from .power import PowerModel
 from .specs import GPUSpec
 
 
+@key_part
 @dataclass(frozen=True)
 class WorkProfile:
     """Hardware-independent description of one computation's work.

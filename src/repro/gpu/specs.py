@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple, Union
 
 from ..exceptions import ConfigurationError
+from ..keys import key_part
 from .frequency import FrequencyTable
 
 
+@key_part
 @dataclass(frozen=True)
 class GPUSpec:
     """Static description of one GPU model.

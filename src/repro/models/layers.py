@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 from ..exceptions import ConfigurationError
 from ..gpu.energy_model import ComputationEnergyModel, WorkProfile
 from ..gpu.specs import GPUSpec
+from ..keys import key_part
 
 #: Backward/forward FLOP ratio without activation recomputation.
 BACKWARD_MULTIPLIER = 2.0
@@ -68,6 +69,7 @@ class LayerSpec:
         return replace(self, forward=self.forward.scaled(1.0 / degree))
 
 
+@key_part
 @dataclass(frozen=True)
 class ModelSpec:
     """A model as an ordered list of partitionable layers plus a pinned tail.

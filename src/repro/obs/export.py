@@ -7,9 +7,11 @@ format, loadable in Perfetto (https://ui.perfetto.dev) or
 ``chrome://tracing``.
 
 The emitted document is the standard ``{"traceEvents": [...]}`` object
-form.  Spans become ``"X"`` (complete) events with microsecond ``ts`` /
-``dur``; point-in-time records (structured events, fleet re-plans, cap
-changes, drift wakes) become ``"i"`` (instant) events.  Span attributes
+form.  Spans become ``"X"`` (complete) events with ``ts`` / ``dur`` in
+integer microseconds from the earliest record in the document (fleet
+timelines: from simulated time zero); point-in-time records
+(structured events, fleet re-plans, cap changes, drift wakes) become
+``"i"`` (instant) events.  Span attributes
 and the trace id ride in ``args`` so they are searchable in the viewer.
 
 :func:`format_trace` is the terminal fallback (``repro trace view``):
@@ -24,8 +26,19 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from .trace import Span
 
-#: Chrome trace timestamps are integer-ish microseconds.
+#: Chrome trace timestamps are microseconds.
 _US = 1_000_000.0
+
+
+def _us(seconds: float) -> int:
+    """Seconds -> integer microseconds.
+
+    Each span's end is rounded from its own end time rather than by
+    adding a rounded duration, so spans that abut in seconds abut
+    exactly in the document and the viewer never reads a sub-µs
+    overlap as nesting.
+    """
+    return round(seconds * _US)
 
 
 def _tid_mapper():
@@ -49,8 +62,18 @@ def spans_to_chrome(spans: Sequence[Span], events: Iterable[dict] = ()
     """
     trace_events: List[dict] = []
     tids, tid_for = _tid_mapper()
-    for span_ in spans:
-        record = span_.to_dict() if isinstance(span_, Span) else dict(span_)
+    records = [span_.to_dict() if isinstance(span_, Span) else dict(span_)
+               for span_ in spans]
+    events = [dict(event) for event in events]
+    # Trace-relative: epoch seconds as float µs (~1.8e15) have an ULP
+    # of ~0.25 µs, enough to make back-to-back spans overlap.
+    base_s = min([record["start_s"] for record in records]
+                 + [float(event.get("ts", 0.0)) for event in events],
+                 default=0.0)
+    for record in records:
+        start_s = record["start_s"] - base_s
+        end_s = (record["start_s"]
+                 + max(record.get("duration_s", 0.0), 0.0)) - base_s
         args = dict(record.get("attrs") or {})
         args["trace_id"] = record.get("trace_id")
         if record.get("span_id"):
@@ -60,21 +83,20 @@ def spans_to_chrome(spans: Sequence[Span], events: Iterable[dict] = ()
         trace_events.append({
             "name": record["name"],
             "ph": "X",
-            "ts": record["start_s"] * _US,
-            "dur": max(record.get("duration_s", 0.0), 0.0) * _US,
+            "ts": _us(start_s),
+            "dur": _us(end_s) - _us(start_s),
             "pid": 1,
             "tid": tid_for(record.get("thread") or "main"),
             "cat": "span",
             "args": {k: v for k, v in args.items() if v is not None},
         })
     for event in events:
-        event = dict(event)
-        ts = event.pop("ts", 0.0)
+        ts = float(event.pop("ts", 0.0)) - base_s
         kind = event.pop("kind", "event")
         trace_events.append({
             "name": kind,
             "ph": "i",
-            "ts": float(ts) * _US,
+            "ts": _us(ts),
             "pid": 1,
             "tid": tid_for("events"),
             "cat": "event",
@@ -111,8 +133,8 @@ def fleet_timeline_to_chrome(timeline: Sequence[dict]) -> dict:
             trace_events.append({
                 "name": job,
                 "ph": "X",
-                "ts": start_s * _US,
-                "dur": max(end_s - start_s, 0.0) * _US,
+                "ts": _us(start_s),
+                "dur": max(_us(end_s) - _us(start_s), 0),
                 "pid": 1,
                 "tid": tid_for(f"job:{job}"),
                 "cat": "job",
@@ -123,7 +145,7 @@ def fleet_timeline_to_chrome(timeline: Sequence[dict]) -> dict:
             trace_events.append({
                 "name": kind,
                 "ph": "i",
-                "ts": ts * _US,
+                "ts": _us(ts),
                 "pid": 1,
                 "tid": tid_for("fleet"),
                 "cat": "fleet",
@@ -203,13 +225,11 @@ def format_trace(document: dict, width: int = 72) -> str:
         stack: List[dict] = []  # enclosing spans, outermost first
         for e in track:
             ts = float(e.get("ts", 0.0))
-            end = ts + float(e.get("dur", 0.0))
             while stack:
                 top = stack[-1]
                 top_end = (float(top.get("ts", 0.0))
                            + float(top.get("dur", 0.0)))
-                # epsilon: children of zero-jitter aggregates abut
-                if ts < top_end - 1e-3:
+                if ts < top_end:
                     break
                 stack.pop()
             depth = len(stack)
@@ -222,7 +242,6 @@ def format_trace(document: dict, width: int = 72) -> str:
             gap = max(width - len(head) - len(tail), 2)
             lines.append(head + " " * gap + tail)
             stack.append(e)
-            _ = end
         lines.append("")
 
     if instants:

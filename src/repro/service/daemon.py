@@ -61,7 +61,10 @@ from typing import Dict, Optional, Tuple
 
 from ..api.planner import Planner, default_planner
 from ..core.serialization import frontier_to_dict, schedule_to_dict
-from ..core.store import PlanStore, stable_key
+from ..core.store import PlanStore
+# Unused here since flight keys are digests already; perfbench's daemon
+# probe still wraps ``repro.service.daemon.stable_key`` by name.
+from ..core.store import stable_key  # noqa: F401
 from ..exceptions import (
     ConfigurationError,
     QuotaExceeded,
@@ -312,7 +315,7 @@ class PlanningDaemon:
             if key in self._warm_keys:
                 self.metrics.inc("repro_service_coalesce_total",
                                  {"outcome": "warm"})
-                self.events.emit("flight", key=stable_key(key)[:12],
+                self.events.emit("flight", key=key[:12],
                                  outcome="warm")
                 return
         store_role, role = self._flight.do(
@@ -320,7 +323,7 @@ class PlanningDaemon:
         with self._warm_lock:
             self._warm_keys.add(key)
         self.metrics.inc("repro_service_coalesce_total", {"outcome": role})
-        self.events.emit("flight", key=stable_key(key)[:12], outcome=role,
+        self.events.emit("flight", key=key[:12], outcome=role,
                          store_role=store_role)
         if role == LEADER and store_role is not None:
             self.metrics.inc("repro_service_store_flights_total",

@@ -196,6 +196,93 @@ class TestPlannerMemoization:
         schedule = stack.optimizer.schedule_for_straggler(None)
         assert report.plan == dict(schedule.frequencies)
 
+    @pytest.mark.parametrize("strategy", ["perseus", "max-freq"])
+    def test_plan_builds_its_stack_once(self, monkeypatch, strategy):
+        calls = []
+        original = Planner.build_stack
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Planner, "build_stack", counting)
+        planner = Planner()
+        spec = SMALL.replace(strategy=strategy)
+        cold = planner.plan(spec, straggler_time=None)
+        assert len(calls) == 1
+        warm = planner.plan(spec)
+        assert len(calls) == 2
+        assert warm == cold and warm.plan == cold.plan
+        # The public views still assemble (or reuse) the stack themselves.
+        ctx = planner.context(spec)
+        baseline = planner.baseline_execution(spec)
+        assert ctx.tau == planner.result(spec).tau
+        assert baseline.iteration_time == cold.baseline_time_s
+
+
+class TestCachedKeyHashes:
+    """ModelSpec/GPUSpec/WorkProfile cache their field hash; it must
+    agree with ``__eq__`` exactly like the generated one did."""
+
+    def test_equal_values_hash_alike(self):
+        import dataclasses
+
+        from repro.gpu.specs import A100_PCIE
+        from repro.models.registry import build_model
+
+        first, second = build_model("bert-large"), build_model("bert-large")
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        # ``extra`` is not compared, so it must not be hashed either.
+        noted = dataclasses.replace(first, extra={"note": 1})
+        assert noted == first and hash(noted) == hash(first)
+        copy = dataclasses.replace(A100_PCIE)
+        assert copy == A100_PCIE and hash(copy) == hash(A100_PCIE)
+        work = first.layers[0].forward
+        assert hash(dataclasses.replace(work)) == hash(work)
+
+    def test_field_changes_change_equality_and_lookup(self):
+        import dataclasses
+
+        from repro.gpu.specs import A100_PCIE
+        from repro.models.registry import build_model
+
+        model = build_model("bert-large")
+        derated = dataclasses.replace(A100_PCIE, tdp_w=250.0)
+        assert derated != A100_PCIE
+        shorter = dataclasses.replace(model, layers=model.layers[:-1])
+        assert shorter != model
+        table = {model: "model", A100_PCIE: "gpu"}
+        assert table[build_model("bert-large")] == "model"
+        assert table[dataclasses.replace(A100_PCIE)] == "gpu"
+        assert shorter not in table and derated not in table
+
+    def test_hash_is_the_generated_field_hash(self):
+        import dataclasses
+
+        from repro.gpu.specs import A40
+
+        fields = tuple(getattr(A40, f.name) for f in dataclasses.fields(A40)
+                       if f.compare)
+        assert hash(A40) == hash(fields)
+
+    def test_caches_do_not_travel_with_pickles(self):
+        import pickle
+
+        from repro.core.store import stable_key
+        from repro.keys import HASH_SLOT, TEXT_SLOT
+        from repro.models.registry import build_model
+
+        model = build_model("bert-large")
+        digest = stable_key(model)
+        hash(model)
+        assert HASH_SLOT in vars(model) and TEXT_SLOT in vars(model)
+        clone = pickle.loads(pickle.dumps(model))
+        assert HASH_SLOT not in vars(clone)
+        assert TEXT_SLOT not in vars(clone)
+        assert clone == model and hash(clone) == hash(model)
+        assert stable_key(clone) == digest
+
 
 class TestPlanPipelineShim:
     def test_emits_deprecation_warning(self):

@@ -305,6 +305,54 @@ def test_format_trace_tree_and_footer():
     assert format_trace({"traceEvents": []}) == "(empty trace)"
 
 
+def _tree_depths(text):
+    """Span name -> indentation depth in a :func:`format_trace` tree."""
+    depths = {}
+    for line in text.splitlines():
+        if line.startswith("  "):
+            name = line.split()[0]
+            depths[name] = (len(line) - len(line.lstrip()) - 2) // 2
+    return depths
+
+
+def test_format_trace_abutting_spans_do_not_nest():
+    # An epoch-scale start at which these spans, written as absolute
+    # float µs (~1.8e15, ULP ~0.25 µs), overlap their successor by a
+    # fraction of a µs -- enough for the viewer to nest them.
+    t0 = 1760000291.606
+    timings = {"event_times_s": 0.0187, "instance_build_s": 0.0201,
+               "maxflow_s": 0.011, "schedule_s": 0.0119}
+    recorder = enable_tracing()
+    with span("optimize.crawl"):
+        add_stage_spans(timings, start_s=t0)
+    spans = recorder.spans
+    crawl = next(s for s in spans if s.name == "optimize.crawl")
+    crawl.start_s, crawl.duration_s = t0, sum(timings.values()) + 0.001
+    records = [s.to_dict() for s in spans]
+    sibling = dict(trace_id=crawl.trace_id, thread="worker",
+                   duration_s=0.0017)
+    records.append(dict(sibling, name="sibling.a", start_s=t0 + 1.0))
+    records.append(dict(sibling, name="sibling.b",
+                        start_s=(t0 + 1.0) + 0.0017))
+
+    document = spans_to_chrome(records)
+    complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
+    assert all(type(e["ts"]) is int and type(e["dur"]) is int
+               for e in complete)
+    assert min(e["ts"] for e in complete) == 0
+    by_name = {e["name"]: e for e in complete}
+    stages = ["optimize.event_times", "optimize.instance_build",
+              "optimize.maxflow", "optimize.schedule"]
+    for before, after in zip(stages, stages[1:]):
+        assert (by_name[before]["ts"] + by_name[before]["dur"]
+                == by_name[after]["ts"])
+
+    depths = _tree_depths(format_trace(document))
+    assert depths["optimize.crawl"] == 0
+    assert all(depths[name] == 1 for name in stages)
+    assert depths["sibling.a"] == depths["sibling.b"] == 0
+
+
 # ----------------------------------------------------------------- provenance
 def test_provenance_builder_first_note_wins():
     builder = ProvenanceBuilder(tiny_spec())

@@ -65,6 +65,135 @@ class TestStableKey:
         with pytest.raises(TypeError):
             stable_key(object())
 
+    def test_int_and_float_zero_stay_distinct(self):
+        # 0 == 0.0 (and they hash alike), but they canonicalize apart.
+        assert ("tau", 0) == ("tau", 0.0)
+        assert stable_key(("tau", 0)) != stable_key(("tau", 0.0))
+
+    def test_composed_text_matches_layout_1(self):
+        """The digest hashes exactly what layout 1 hashed: json.dumps of
+        the asdict-based canonical form (nested dataclasses as bare
+        field dicts, floats as hex, sorted keys)."""
+        import dataclasses
+        import hashlib
+
+        from repro.gpu.specs import A40, A100_PCIE
+        from repro.models.registry import build_model
+
+        def canonical(value):
+            if value is None or isinstance(value, (str, bool, int)):
+                return value
+            if isinstance(value, float):
+                return value.hex()
+            if dataclasses.is_dataclass(value):
+                return [type(value).__name__,
+                        canonical(dataclasses.asdict(value))]
+            if isinstance(value, (tuple, list)):
+                return [canonical(v) for v in value]
+            return {str(k): canonical(v) for k, v in sorted(value.items())}
+
+        model = dataclasses.replace(
+            build_model("bert-large"),
+            extra={"note": "é\n\"q\"", "ratios": [0.5, None, True]})
+        for key in ((model, None, 2, A100_PCIE),
+                    (model, 4, 2, (A100_PCIE, A40), 1, 24, 0.0, 0),
+                    {"b": [1, -0.0, float("inf")], "a": {"x": A40}},
+                    model.layers[0].forward):
+            text = json.dumps(canonical(key), sort_keys=True,
+                              separators=(",", ":"))
+            expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert stable_key(key) == expected
+            assert stable_key(key) == expected  # again, from cached text
+
+
+class TestGoldenDigests:
+    """Store addresses pinned from layout 1's original ``stable_key``:
+    a changed digest would orphan every existing store entry."""
+
+    GOLDEN = {
+        SMALL: {
+            "partition": "021f20b4ac737ef49f9e7f27337229b741c491c6"
+                         "3eb3c633764abbacb9422103",
+            "profile": "32904df2710389663d6cf5ff266b0b692f939090"
+                       "8298de57d1509fadae63f580",
+            "frontier": "4b5529ddaeb97dbd1fa4d0ef2c48ca9c4ad324ca"
+                        "7328046315e65a76c5aee6c0",
+        },
+        MIXED: {
+            "partition": "791729b5d9b94711369f10aaf79e3c7a9e034866"
+                         "f8b598b81bd7835f319737ab",
+            "profile": "a5091c46841b6d9070729a93b00f83a0c02e7aab"
+                       "89ba5ce7406aa272d07478bd",
+            "frontier": "fde6ace8b2cde6e8f76ce3f713361ae87a6021f1"
+                        "b3b4d7a7ac127a31167ff74d",
+        },
+    }
+
+    @pytest.mark.parametrize("spec", [SMALL, MIXED],
+                             ids=["homogeneous", "mixed"])
+    def test_cache_keys_match_golden(self, spec):
+        keys = Planner().cache_keys(spec)
+        assert {ns: keys[ns] for ns in self.GOLDEN[spec]} \
+            == self.GOLDEN[spec]
+
+    def test_store_files_land_at_golden_addresses(self, tmp_path):
+        planner = Planner(cache=str(tmp_path))
+        planner.plan(SMALL)
+        for namespace, digest in self.GOLDEN[SMALL].items():
+            assert (tmp_path / namespace / f"{digest}.json").is_file()
+
+
+class TestDigestMemo:
+    def test_path_for_is_root_namespace_stable_key(self, tmp_path):
+        store = PlanStore(str(tmp_path))
+        stack = Planner(cache=store).result(SMALL)
+        for namespace in ("partition", "profile"):
+            key = stack.keys[namespace]
+            assert store.path_for(namespace, key) == os.path.join(
+                str(tmp_path), namespace, stable_key(key) + ".json")
+        fresh = PlanStore(str(tmp_path))
+        key = stack.keys["optimizer"]
+        assert fresh.path_for("frontier", key) == os.path.join(
+            str(tmp_path), "frontier", stable_key(key) + ".json")
+
+    def test_digest_is_memoized_for_the_memory_tier_lifetime(
+            self, monkeypatch):
+        from repro.core import store as core_store
+
+        calls = []
+        original = core_store.stable_key
+        monkeypatch.setattr(core_store, "stable_key",
+                            lambda key: calls.append(key) or original(key))
+        cache = MemoryCache()
+        key = ("bert-large", None, 2, "a100")
+        assert cache.digest("partition", key) == original(key)
+        cache.digest("partition", key)
+        assert len(calls) == 1
+        view = cache.worker_view()
+        view.digest("partition", key)
+        other_key = ("gpt3-xl", None, 2, "a100")
+        view.digest("profile", other_key)
+        assert len(calls) == 2  # the view carried the memo
+        cache.merge(view)
+        cache.digest("profile", other_key)
+        assert len(calls) == 2  # merge carried it back
+        cache.clear()
+        cache.digest("partition", key)
+        assert len(calls) == 3  # clear dropped it with the tables
+
+    def test_warm_plans_hash_no_keys(self, tmp_path, monkeypatch):
+        from repro.core import store as core_store
+
+        planner = Planner(cache=str(tmp_path))
+        planner.plan(SMALL)
+        calls = []
+        original = core_store.stable_key
+        monkeypatch.setattr(core_store, "stable_key",
+                            lambda key: calls.append(key) or original(key))
+        for _ in range(3):
+            planner.plan(SMALL)
+        assert calls == []
+
 
 class TestCacheKeyStability:
     """Satellite: equal specs must address identical store entries."""
