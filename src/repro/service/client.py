@@ -1,19 +1,26 @@
 """``ServiceClient``: the daemon's Python face, mirroring ``PerseusServer``.
 
 The client speaks the :mod:`~repro.service.wire` protocol over plain
-:mod:`http.client` (stdlib, one connection per call, ``Connection:
-close``) and returns the same domain objects the in-process API does:
-:class:`~repro.api.planner.PlanReport`,
+:mod:`http.client` (stdlib) and returns the same domain objects the
+in-process API does: :class:`~repro.api.planner.PlanReport`,
 :class:`~repro.core.frontier.Frontier`,
 :class:`~repro.core.schedules.EnergySchedule`.  Remote failures
 re-raise as their original :class:`~repro.exceptions.ReproError`
 subclass, so the client is a drop-in for code written against
 :class:`~repro.runtime.server.PerseusServer`::
 
-    client = ServiceClient("http://127.0.0.1:8421", tenant="team-a")
-    report = client.plan(spec)              # == planner.plan(spec)
-    client.register_spec("llama-run", spec)
-    client.wait_ready("llama-run")
+    with ServiceClient("http://127.0.0.1:8421", tenant="team-a") as client:
+        report = client.plan(spec)          # == planner.plan(spec)
+        client.register_spec("llama-run", spec)
+        client.wait_ready("llama-run")
+
+Connections are persistent HTTP/1.1: a call borrows an idle connection
+from the client's small pool (or opens one), and returns it once the
+whole response has been read, so a training job's stream of small
+calls pays for one TCP handshake, not one per call.  Concurrent
+callers never share a socket -- each in-flight call holds its own
+connection.  ``close()`` (or leaving the ``with`` block) closes the
+idle ones.
 
 Transport failures -- connection refused, a daemon restarting
 mid-request (socket reset, truncated response), an HTTP 5xx -- raise
@@ -24,6 +31,13 @@ default, so retrying a call that may have landed is safe: the daemon
 replays the recorded response instead of re-executing.  The
 replica-aware :class:`~repro.service.replica.ReplicaClient` builds its
 failover loop on exactly these two properties.
+
+One retry is built in: a pooled connection may have been closed by the
+daemon since its last use (its idle timeout, or a restart), so a
+request that fails on a *reused* connection before any response
+arrives is sent once more, on a fresh connection, with the same
+envelope and request id.  Any other failure raises
+``ServiceUnavailable`` at once.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ import json
 import random
 import threading
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..api.planner import PlanReport
@@ -49,6 +63,18 @@ from .wire import error_from_wire, report_from_wire
 #: Default retry hint attached to transport-level failures (seconds);
 #: a restarting daemon is typically back within this window.
 RETRY_HINT_S = 0.5
+
+#: Idle connections a client keeps for reuse; more concurrent callers
+#: than this still each get a connection, the surplus is closed on
+#: return.
+MAX_IDLE_CONNECTIONS = 8
+
+#: How a pooled connection the daemon has since closed fails before
+#: any response byte arrives -- the only failures sent again.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError,
+                     ConnectionResetError, ConnectionAbortedError)
+
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 _ids = itertools.count(1)
 _ids_lock = threading.Lock()
@@ -76,7 +102,9 @@ class ServiceClient:
     ``tenant`` to namespace jobs and quota accounting (sent as the
     ``X-Repro-Tenant`` header).  ``timeout_s`` bounds each socket
     operation -- leave headroom above ``wait_ready`` timeouts, which
-    hold the connection open server-side.
+    hold the connection open server-side.  The client is thread-safe
+    and a context manager; see the module docstring for its
+    connection pool.
     """
 
     def __init__(self, base_url: str, tenant: Optional[str] = None,
@@ -96,6 +124,46 @@ class ServiceClient:
         #: daemon adopts, logs and echoes back) -- the join key between
         #: a client-side failure and the daemon's events.
         self.last_trace_id: Optional[str] = None
+        # Idle keep-alive connections, most recently returned last.
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    # -- connection pool -----------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout_s)
+
+    def _checkout(self) -> Tuple[http.client.HTTPConnection, bool]:
+        """An idle pooled connection (LIFO) or a new one, and whether
+        it was reused."""
+        with self._idle_lock:
+            if self._idle:
+                return self._idle.pop(), True
+        return self._connection(), False
+
+    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+        with self._idle_lock:
+            if len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        """Close the idle pooled connections.
+
+        Calls still in flight keep theirs; a later call simply opens a
+        new connection.
+        """
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------------
     def _unavailable(self, what: str, exc: BaseException) -> ServiceUnavailable:
@@ -106,10 +174,9 @@ class ServiceClient:
         )
 
     def _request(self, method: str, path: str,
-                 body: Optional[dict] = None) -> "http.client.HTTPResponse":
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s)
-        headers = {"Connection": "close"}
+                 body: Optional[dict] = None) -> Tuple[int, bytes]:
+        """One HTTP exchange: ``(status, whole response body)``."""
+        headers = {}
         payload = None
         if body is not None:
             payload = json.dumps(body).encode("utf-8")
@@ -123,16 +190,35 @@ class ServiceClient:
         trace_id = ensure_trace_id()
         headers["X-Repro-Trace-Id"] = trace_id
         self.last_trace_id = trace_id
+        conn, reused = self._checkout()
+        while True:
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+                break
+            except _TRANSPORT_ERRORS as exc:
+                conn.close()
+                if reused and isinstance(exc, _STALE_CONNECTION):
+                    # The daemon closed this idle connection (timeout
+                    # or restart) before answering: send the same
+                    # bytes, id included, once more on a fresh one.
+                    conn, reused = self._connection(), False
+                    continue
+                # A daemon restart mid-request surfaces here as a reset
+                # or a half-closed socket; map it to the typed,
+                # retryable error instead of leaking raw http.client
+                # internals.
+                raise self._unavailable("connect/send", exc) from exc
         try:
-            conn.request(method, path, body=payload, headers=headers)
-            return conn.getresponse()
-        except (ConnectionError, OSError,
-                http.client.HTTPException) as exc:
-            # A daemon restart mid-request surfaces here as a reset or
-            # a half-closed socket; map it to the typed, retryable
-            # error instead of leaking raw http.client internals.
+            raw = response.read()
+        except _TRANSPORT_ERRORS as exc:
             conn.close()
-            raise self._unavailable("connect/send", exc) from exc
+            raise self._unavailable("read", exc) from exc
+        if response.will_close:
+            conn.close()
+        else:
+            self._checkin(conn)
+        return response.status, raw
 
     def call(self, method: str, params: Optional[dict] = None,
              request_id: Optional[str] = None):
@@ -149,29 +235,22 @@ class ServiceClient:
         }
         if self.tenant is not None:
             envelope["tenant"] = self.tenant
-        response = self._request("POST", "/rpc", envelope)
-        try:
-            raw = response.read()
-        except (ConnectionError, OSError,
-                http.client.HTTPException) as exc:
-            raise self._unavailable("read", exc) from exc
-        finally:
-            response.close()
+        status, raw = self._request("POST", "/rpc", envelope)
         try:
             body = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise self._unavailable(
-                f"non-JSON response, HTTP {response.status}: {raw[:200]!r}",
+                f"non-JSON response, HTTP {status}: {raw[:200]!r}",
                 exc,
             ) from exc
-        if response.status >= 500:
+        if status >= 500:
             # 5xx means the daemon (not the request) is broken; rotate
             # or retry rather than blaming the caller.  The envelope's
             # error detail rides along in the message.
             detail = body.get("error", body)
             raise ServiceUnavailable(
                 f"daemon at {self.host}:{self.port} failed with HTTP "
-                f"{response.status}: {detail}",
+                f"{status}: {detail}",
                 retry_after_s=RETRY_HINT_S,
             )
         if "error" in body:
@@ -327,15 +406,7 @@ class ServiceClient:
     # -- observability endpoints ---------------------------------------------
     def metrics_text(self) -> str:
         """Raw ``GET /metrics`` exposition text."""
-        response = self._request("GET", "/metrics")
-        try:
-            return response.read().decode("utf-8")
-        finally:
-            response.close()
+        return self._request("GET", "/metrics")[1].decode("utf-8")
 
     def health(self) -> dict:
-        response = self._request("GET", "/healthz")
-        try:
-            return json.loads(response.read().decode("utf-8"))
-        finally:
-            response.close()
+        return json.loads(self._request("GET", "/healthz")[1].decode("utf-8"))

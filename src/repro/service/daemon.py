@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
 import threading
 import time
@@ -94,6 +95,10 @@ EXPENSIVE_METHODS = frozenset({"plan", "register_spec", "submit_sweep"})
 #: Completed responses retained for idempotent replay, per daemon.
 REPLAY_CACHE_SIZE = 1024
 
+#: Seconds a kept-alive connection may sit idle between requests
+#: before its handler thread closes it (clients reconnect on demand).
+KEEPALIVE_IDLE_S = 30.0
+
 
 def _validate_tenant(tenant: str) -> str:
     if not tenant or not isinstance(tenant, str) or TENANT_SEP in tenant \
@@ -111,6 +116,41 @@ class _Server(ThreadingHTTPServer):
     # herd of clients (the dropped ones retry after a full second);
     # coalescing exists precisely for that herd, so accept it whole.
     request_queue_size = 128
+
+    def __init__(self, *args, **kwargs) -> None:
+        #: Set by :meth:`stop_reading`; handlers then answer nothing more.
+        self.closing = False
+        # Accepted connections whose handler has not finished yet.
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def stop_reading(self) -> None:
+        """End every open connection's request stream.
+
+        A handler waiting for its next keep-alive request sees EOF and
+        exits; one still dispatching writes its response first.  A
+        request that slips in regardless (Linux still queues data that
+        arrives after ``SHUT_RD``) is dropped unanswered.
+        """
+        self.closing = True
+        with self._open_lock:
+            open_sockets = list(self._open)
+        for sock in open_sockets:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
 
 
 class _RpcError(Exception):
@@ -270,9 +310,12 @@ class PlanningDaemon:
 
         Idempotent; in-flight handler threads finish their responses
         (they are daemon threads only so a wedged handler cannot hang
-        interpreter exit).
+        interpreter exit), and handlers idling on kept-alive
+        connections are told to stop reading, so no open connection is
+        answered after ``close`` returns.
         """
         self._httpd.shutdown()
+        self._httpd.stop_reading()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -781,6 +824,11 @@ def _make_handler(daemon: PlanningDaemon):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Responses leave in one write (see ``_send``); without Nagle
+        # nothing waits on the client's delayed ACK either.
+        disable_nagle_algorithm = True
+        timeout = KEEPALIVE_IDLE_S
+
         # Quiet by default: one line per request would swamp benchmarks.
         def log_message(self, format, *args):  # noqa: A002
             pass
@@ -792,15 +840,45 @@ def _make_handler(daemon: PlanningDaemon):
             self.send_header("Content-Length", str(len(payload)))
             for name, value in headers.items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(payload)
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            # ``end_headers`` would flush the head as a segment of its
+            # own; queue the body behind it so both go in one send.
+            self._headers_buffer.append(b"\r\n" + payload)
+            self.flush_headers()
 
         def _send_json(self, status: int, body: dict,
                        headers: Optional[Dict[str, str]] = None) -> None:
             data = json.dumps(body).encode("utf-8")
             self._send(status, data, "application/json", headers or {})
 
+        def parse_request(self) -> bool:
+            # Once the daemon is closing, drop the request unanswered,
+            # as if the connection were already shut.
+            if self.server.closing:
+                self.close_connection = True
+                return False
+            return super().parse_request()
+
+        def _read_body(self) -> Optional[bytes]:
+            """The request body, or None when its length is unknown.
+
+            A body left unread would be parsed as the next request on
+            this connection, so an unknown length (chunked, malformed
+            or negative ``Content-Length``) closes the connection after
+            the response instead.
+            """
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0 or "Transfer-Encoding" in self.headers:
+                self.close_connection = True
+                return None
+            return self.rfile.read(length)
+
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
+            self._read_body()
             if self.path == "/metrics":
                 text = daemon.metrics_text().encode("utf-8")
                 self._send(200, text, "text/plain; version=0.0.4", {})
@@ -812,14 +890,17 @@ def _make_handler(daemon: PlanningDaemon):
                     f"and /healthz, RPCs POST to /rpc"))})
 
         def do_POST(self) -> None:  # noqa: N802
+            raw = self._read_body()
             if self.path != "/rpc":
                 self._send_json(404, {"error": error_to_wire(ServiceError(
                     f"unknown path {self.path!r}; POST to /rpc"))})
                 return
+            if raw is None:
+                self._send_json(400, {"error": error_to_wire(ServiceError(
+                    "request body needs a valid Content-Length"))})
+                return
             try:
-                length = int(self.headers.get("Content-Length", 0))
-                envelope = json.loads(
-                    self.rfile.read(length).decode("utf-8"))
+                envelope = json.loads(raw.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
                 self._send_json(400, {"error": error_to_wire(ServiceError(
                     f"request body is not valid JSON: {exc}"))})

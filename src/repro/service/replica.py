@@ -421,6 +421,12 @@ class ReplicaClient(ServiceClient):
     **readmitted**.  When every replica is ejected the client waits
     out the shortest remaining cooldown rather than failing fast --
     a restarting fleet looks exactly like that for a moment.
+    ``clock`` and ``sleep`` time the cooldowns (injectable, as in
+    :meth:`ServiceClient.call_with_retry`).
+
+    Each replica keeps its own pooled connections; a restarted replica
+    is reached through a fresh one.  ``close()`` (or the ``with``
+    block) closes every replica's and probe's idle connections.
     """
 
     def __init__(
@@ -431,6 +437,8 @@ class ReplicaClient(ServiceClient):
         max_attempts: Optional[int] = None,
         cooldown_s: float = 2.0,
         probe_timeout_s: float = 2.0,
+        clock=time.monotonic,
+        sleep=time.sleep,
     ) -> None:
         if isinstance(urls, str):
             urls = [u.strip() for u in urls.split(",") if u.strip()]
@@ -445,6 +453,8 @@ class ReplicaClient(ServiceClient):
         self._probes = [ServiceClient(url, timeout_s=probe_timeout_s)
                         for url in urls]
         self.cooldown_s = cooldown_s
+        self._clock = clock
+        self._sleep = sleep
         self.max_attempts = max_attempts or 2 * len(urls)
         self._sticky = sticky_index(tenant, len(urls))
         self._state_lock = threading.Lock()
@@ -458,7 +468,7 @@ class ReplicaClient(ServiceClient):
         with self._state_lock:
             if index not in self._ejected_at:
                 self.stats["ejections"] += 1
-            self._ejected_at[index] = time.monotonic()
+            self._ejected_at[index] = self._clock()
 
     def _mark_healthy(self, index: int) -> None:
         with self._state_lock:
@@ -471,7 +481,7 @@ class ReplicaClient(ServiceClient):
             ejected_at = self._ejected_at.get(index)
         if ejected_at is None:
             return True
-        if time.monotonic() - ejected_at < self.cooldown_s:
+        if self._clock() - ejected_at < self.cooldown_s:
             return False
         try:
             self._probes[index].health()
@@ -480,6 +490,11 @@ class ReplicaClient(ServiceClient):
             return False
         self._mark_healthy(index)
         return True
+
+    def close(self) -> None:
+        for client in self.replicas + self._probes:
+            client.close()
+        super().close()
 
     def ejected(self) -> List[int]:
         """Indices currently sitting out a cooldown (observability)."""
@@ -524,10 +539,10 @@ class ReplicaClient(ServiceClient):
                     if self._ejected_at:
                         earliest = min(self._ejected_at.values())
                         remaining = self.cooldown_s - (
-                            time.monotonic() - earliest)
+                            self._clock() - earliest)
                     else:  # pragma: no cover - raced a readmission
                         remaining = 0.0
-                time.sleep(max(remaining, 0.01))
+                self._sleep(max(remaining, 0.01))
                 attempts += 1
         raise ServiceUnavailable(
             f"all {len(self.replicas)} replicas unavailable after "

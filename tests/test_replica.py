@@ -57,6 +57,19 @@ def tiny_spec(model="gpt3-xl", **overrides):
     return PlanSpec(model, **merged)
 
 
+class FakeClock:
+    """``clock``/``sleep`` pair whose sleeps advance time instantly."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
 def tenant_on(replica: int, count: int = 2, prefix: str = "team") -> str:
     """A tenant name whose sticky route lands on ``replica``."""
     for i in range(10_000):
@@ -317,20 +330,30 @@ class TestReplicaClientFailover:
             assert client.stats["failovers"] >= 1
 
     def test_ejection_then_probe_readmission(self, store_daemon):
+        clock = FakeClock()
         proxy = ChaosProxy(store_daemon.url, mode="refuse")
         try:
             client = ReplicaClient([proxy.url], cooldown_s=0.2,
-                                   probe_timeout_s=2.0, max_attempts=50)
+                                   probe_timeout_s=2.0, max_attempts=50,
+                                   clock=clock, sleep=clock.sleep)
             with pytest.raises(ServiceUnavailable):
                 client.ping()
             assert client.ejected() == [0]
             proxy.mode = "pass"  # the replica "restarts"
-            time.sleep(0.25)  # cooldown elapses; probe must readmit
+            clock.sleep(0.25)  # cooldown elapses; probe must readmit
             assert client.ping()["ok"]
             assert client.stats["readmissions"] == 1
             assert client.ejected() == []
         finally:
             proxy.close()
+
+    def test_close_releases_every_pooled_connection(self, store_daemon):
+        with ReplicaClient([store_daemon.url, store_daemon.url]) as client:
+            client.ping()
+            assert client.health()["ok"]
+            pooled = client.replicas + client._probes
+            assert any(c._idle for c in pooled)
+        assert not any(c._idle for c in pooled)
 
     def test_retries_replay_not_reexecute(self, store_daemon):
         # One idempotency id across attempts: a register_spec retried

@@ -11,8 +11,12 @@ shared planner does each piece of expensive work exactly once.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
+import sys
 import threading
+import time
 
 import pytest
 
@@ -24,6 +28,7 @@ from repro.exceptions import (
     ServerError,
     ServiceError,
     ServiceOverloaded,
+    ServiceUnavailable,
 )
 from repro.runtime.server import PerseusServer
 from repro.service import (
@@ -39,6 +44,8 @@ from repro.service import (
     spec_from_wire,
     stack_flight_key,
 )
+from repro.service import daemon as daemon_module
+from repro.service.replica import DaemonProcess
 from repro.service.wire import error_from_wire, error_to_wire
 
 TINY = dict(gpu="a100", stages=2, microbatches=2, freq_stride=24)
@@ -583,3 +590,176 @@ def test_concurrent_submit_sweep_across_tenants_bit_identical():
     for i, rows in enumerate(out):
         assert rows is not None and sorted(rows) == ["sw-0"]
         assert reports_equal(rows["sw-0"], reference.plan(spec_sets[i][0]))
+
+
+# ------------------------------------------------- keep-alive connections
+@pytest.fixture()
+def connects(monkeypatch):
+    """Counts TCP connections opened through ``http.client``."""
+    opened = []
+    original = http.client.HTTPConnection.connect
+
+    def connect(self):
+        opened.append(self)
+        return original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    return opened
+
+
+def wait_until(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def test_sequential_calls_share_one_connection(daemon, connects):
+    with ServiceClient(daemon.url, tenant="team-a") as client:
+        client.ping()
+        client.plan(tiny_spec())
+        client.register_spec("run", tiny_spec())
+        client.current_schedule("run")
+        client.stats()
+        assert client.metrics_text()
+        assert client.health()["ok"]
+        for _ in range(5):
+            client.ping()
+    assert len(connects) == 1
+
+
+def test_keepalive_pings_are_not_held_back_by_nagle(daemon):
+    # A response written as head + body segments waits ~40 ms per call
+    # for the client's delayed ACK; one write per response does not.
+    with ServiceClient(daemon.url) as client:
+        client.ping()
+        started = time.monotonic()
+        for _ in range(50):
+            client.ping()
+        assert time.monotonic() - started < 1.0
+
+
+def test_threads_sharing_one_client_get_correct_plans(daemon):
+    # More threads than cores and a short switch interval: two callers
+    # sharing a socket would read each other's answers, and a lost
+    # pool update would pool one connection twice.
+    specs = [tiny_spec(), tiny_spec(model="bert-large")]
+    client = ServiceClient(daemon.url)
+    results = [[] for _ in range(8)]
+    barrier = threading.Barrier(len(results))
+
+    def worker(i):
+        barrier.wait()
+        for _ in range(5):
+            results[i].append(client.plan(specs[i % len(specs)]))
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    reference = [Planner().plan(spec) for spec in specs]
+    for i, reports in enumerate(results):
+        assert len(reports) == 5
+        for report in reports:
+            assert reports_equal(report, reference[i % len(specs)])
+    pooled = client._idle
+    assert 1 <= len(pooled) == len(set(map(id, pooled))) <= len(results)
+    client.close()
+
+
+def test_idle_closed_connection_is_retried_once_with_the_same_id(
+        monkeypatch, connects):
+    monkeypatch.setattr(daemon_module, "KEEPALIVE_IDLE_S", 0.1)
+    sent = []
+    original_request = http.client.HTTPConnection.request
+
+    def request(self, method, url, body=None, headers={}, **kwargs):
+        sent.append((self, body))
+        return original_request(self, method, url, body, headers, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+    with PlanningDaemon(planner=Planner(), port=0) as d, \
+            ServiceClient(d.url) as client:
+        client.ping()
+        # The daemon drops the idle connection after its timeout.
+        wait_until(lambda: not d._httpd._open)
+        del sent[:], connects[:]
+        params = {"job_id": "once", "spec": tiny_spec().to_dict()}
+        client.call("register_spec", params, request_id="rid-1")
+        # The stale connection failed before any answer; the same
+        # envelope went out again on one fresh connection.
+        assert len(connects) == 1
+        assert [body for _, body in sent] == [sent[0][1]] * 2
+        assert sent[0][0] is not sent[1][0]
+        assert json.loads(sent[1][1])["id"] == "rid-1"
+        text = client.metrics_text()
+    assert 'repro_service_requests_total{method="register_spec"} 1' in text
+    assert "repro_service_replays_total{" not in text
+
+
+def test_closed_daemon_does_not_answer_pooled_connections():
+    d = PlanningDaemon(planner=Planner(), port=0).start()
+    with ServiceClient(d.url) as client:
+        assert client.ping()["ok"]
+        d.close()
+        with pytest.raises(ServiceUnavailable):
+            client.ping()
+
+
+def test_client_reconnects_to_a_daemon_restarted_on_the_same_port(
+        connects):
+    first = DaemonProcess(cache_dir=None)
+    with ServiceClient(first.url) as client:
+        try:
+            assert client.ping()["ok"]
+        finally:
+            first.close()
+        with DaemonProcess(cache_dir=None, port=client.port):
+            del connects[:]
+            assert client.ping()["ok"]
+            assert len(connects) == 1
+
+
+def test_unknown_post_path_leaves_the_connection_usable(daemon):
+    host, port = daemon.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("POST", "/nope", body=b'{"method": "ping"}',
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 404
+        assert "unknown path" in json.loads(response.read())["error"][
+            "message"]
+        conn.request("POST", "/rpc",
+                     body=b'{"id": "p", "method": "ping"}',
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["result"]["ok"] is True
+    finally:
+        conn.close()
+
+
+def test_unusable_content_length_closes_the_connection(daemon):
+    host, port = daemon.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.putrequest("POST", "/rpc")
+        conn.putheader("Content-Length", "twelve")
+        conn.endheaders(b'{"id": "p", "method": "ping"}')
+        response = conn.getresponse()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        assert response.will_close
+        assert "Content-Length" in json.loads(response.read())["error"][
+            "message"]
+    finally:
+        conn.close()
